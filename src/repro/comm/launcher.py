@@ -48,6 +48,7 @@ from typing import Any, Callable, Optional
 
 from repro.comm.mp_backend import MultiprocBackend
 from repro.comm.shm import SharedRing, TelemetryRing
+from repro.utils.blas import set_blas_threads
 
 
 class MpWorkerFailed(RuntimeError):
@@ -133,6 +134,8 @@ class MpRunResult:
 def _worker(
     session: MpSession, rank: int, fn, conn, trace: bool, live_cfg
 ) -> None:
+    # ranks share the host's cores: one BLAS pool per rank, not one per core
+    set_blas_threads(max(1, len(os.sched_getaffinity(0)) // session.world_size))
     backend = MultiprocBackend(session, rank)
     plane = None
     tracer = None

@@ -28,7 +28,16 @@ def _accum_dtype(dt: np.dtype) -> np.dtype:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor-core-style matmul: accumulate wide, return the input dtype."""
     acc = _accum_dtype(a.dtype)
-    out = np.matmul(a.astype(acc, copy=False), b.astype(acc, copy=False))
+    aw = a.astype(acc, copy=False)
+    bw = b.astype(acc, copy=False)
+    if a.ndim > 2 and b.ndim == 2:
+        # one (M, K) @ (K, N) GEMM instead of np.matmul's one GEMM per slice
+        lead = a.shape[:-1]
+        out = (aw.reshape(math.prod(lead), a.shape[-1]) @ bw).reshape(
+            *lead, b.shape[-1]
+        )
+    else:
+        out = np.matmul(aw, bw)
     return out.astype(a.dtype, copy=False)
 
 
@@ -72,7 +81,8 @@ def linear_bwd(
 def gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, tuple]:
     acc = _accum_dtype(x.dtype)
     xa = x.astype(acc, copy=False)
-    inner = _SQRT_2_OVER_PI * (xa + 0.044715 * xa**3)
+    # multiplies, not xa**3: numpy's float pow is ~200x slower than a cube
+    inner = _SQRT_2_OVER_PI * (xa + 0.044715 * (xa * xa * xa))
     t = np.tanh(inner)
     y = 0.5 * xa * (1.0 + t)
     return y.astype(x.dtype, copy=False), (xa, t)

@@ -34,6 +34,7 @@ from repro.comm import (
     run_multiproc,
 )
 from repro.comm.shm import SEGMENT_PREFIX
+from repro.utils.blas import blas_threads
 from repro.workloads.calibrate import (
     CalibSpec,
     run_mp_training,
@@ -293,6 +294,22 @@ def _terminal_worker(backend):
 def test_terminal_error_propagates_worker_traceback():
     with pytest.raises(MpWorkerFailed, match="unrecoverable logic error"):
         run_multiproc(2, _terminal_worker, timeout=30.0)
+
+
+def _blas_threads_worker(backend):
+    return blas_threads()
+
+
+@pytest.mark.mp
+def test_ranks_pin_blas_threads_to_their_share_of_cores():
+    """Each rank runs OpenBLAS on its share of the cores, so forked ranks
+    do not oversubscribe the host; the parent's own pool is untouched."""
+    parent = blas_threads()
+    if parent is None:
+        pytest.skip("numpy's OpenBLAS thread control is not reachable")
+    out = run_multiproc(2, _blas_threads_worker, timeout=30.0)
+    assert out.results == [max(1, len(os.sched_getaffinity(0)) // 2)] * 2
+    assert blas_threads() == parent
 
 
 # --- per-rank observability --------------------------------------------------

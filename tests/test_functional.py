@@ -83,6 +83,42 @@ class TestLinear:
         assert float(y[0, 0]) == pytest.approx(n * 1e-4, rel=0.02)
 
 
+    @pytest.mark.parametrize(
+        "a_shape", [(3, 5, 8), (2, 3, 5, 8), (0, 5, 8)], ids=["3d", "4d", "empty"]
+    )
+    def test_folded_matmul_equals_per_slice(self, rng, a_shape):
+        """An N-D ``a`` times a 2-D ``b`` is one GEMM, bit-identical to
+        numpy's per-slice matmul, for a plain and a transposed ``b``."""
+        a = rng.standard_normal(a_shape).astype(np.float32)
+        w = rng.standard_normal((6, 8)).astype(np.float32)
+        for b in (w.T, np.ascontiguousarray(w.T)):
+            out = F.matmul(a, b)
+            assert out.shape == a_shape[:-1] + (6,)
+            np.testing.assert_array_equal(out, np.matmul(a, b))
+
+    def test_folded_matmul_non_contiguous_a(self, rng):
+        a = np.swapaxes(rng.standard_normal((4, 8, 5)).astype(np.float32), 1, 2)
+        w = rng.standard_normal((8, 3)).astype(np.float32)
+        assert not a.flags.c_contiguous
+        np.testing.assert_array_equal(F.matmul(a, w), np.matmul(a, w))
+
+    def test_folded_matmul_fp16_accumulates_fp32(self):
+        n = 4096
+        a = np.full((2, 3, n), 0.01, dtype=np.float16)
+        b = np.full((n, 2), 0.01, dtype=np.float16)
+        out = F.matmul(a, b)
+        assert out.dtype == np.float16 and out.shape == (2, 3, 2)
+        ref = np.matmul(a.astype(np.float32), b.astype(np.float32))
+        np.testing.assert_array_equal(out, ref.astype(np.float16))
+        assert float(out[0, 0, 0]) == pytest.approx(n * 1e-4, rel=0.02)
+
+
+def gelu_reference(x: np.ndarray) -> np.ndarray:
+    """tanh-GELU in float64."""
+    x = x.astype(np.float64)
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+
+
 class TestGelu:
     def test_gradients(self, rng):
         x = rng.standard_normal((3, 5))
@@ -95,6 +131,28 @@ class TestGelu:
         assert y[0] == pytest.approx(100.0)
         y, _ = F.gelu_fwd(np.array([-100.0]))
         assert y[0] == pytest.approx(0.0, abs=1e-6)
+
+    # atol: for x < 0, ``1 + tanh`` cancels, leaving about |x| * eps / 2
+    # absolute error in any fp32 evaluation of this formula
+    @pytest.mark.parametrize(
+        "dtype,rtol,atol",
+        [(np.float32, 1e-6, 2e-7), (np.float16, 1e-3, 1e-6)],
+        ids=["fp32", "fp16"],
+    )
+    def test_matches_float64_reference(self, rng, dtype, rtol, atol):
+        x = (3.0 * rng.standard_normal((8, 32, 512))).astype(dtype)
+        y, _ = F.gelu_fwd(x)
+        assert y.dtype == dtype
+        np.testing.assert_allclose(y, gelu_reference(x), rtol=rtol, atol=atol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_saturates(self, dtype):
+        x = np.array([100.0, -100.0, np.inf, -np.inf], dtype=dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, _ = F.gelu_fwd(x)
+        assert y[0] == dtype(100.0) and y[2] == np.inf
+        assert y[1] == 0.0
+        assert not np.isnan(y[:3]).any()
 
 
 class TestSoftmax:
